@@ -229,17 +229,6 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _load_rows(args):
-    return load_csv(
-        args.input,
-        missing_token=args.missing_token,
-        delimiter=args.delimiter,
-        has_header=args.header,
-        rounding=getattr(args, "rounding", None),
-        alphabet_sizes=None,
-    )
-
-
 def cmd_predict(args) -> int:
     bundle = serialize.load_bundle(args.model)
     model = JointPmfModel(bundle)

@@ -93,6 +93,13 @@ class UpdateResult:
 
 @dataclass
 class FitReport:
+    """What a fit did.
+
+    `sweeps_run` is the total over all `starts_run` starts. `cost_trace`,
+    `best_sweep`, `termination_reason` and `block_residuals` belong to the
+    winning start alone.
+    """
+
     cost_trace: list[float] = field(default_factory=list)
     sweeps_run: int = 0
     termination_reason: str = ""
@@ -544,7 +551,7 @@ def fit(
         return start, FitReport(cost_trace=[0.0], termination_reason="no_data")
 
     best_lam, best_factors, best_report = _fit_once(tuples, config, start, ms.n_vars, rng)
-    starts = 1
+    starts, sweeps = 1, best_report.sweeps_run
     while (
         starts <= config.restarts
         and min(best_report.cost_trace) > config.restart_floor
@@ -552,7 +559,9 @@ def fit(
         start = random_bundle(ms.alphabet_sizes, config.rank, rng)
         lam, factors, report = _fit_once(tuples, config, start, ms.n_vars, rng)
         starts += 1
+        sweeps += report.sweeps_run
         if min(report.cost_trace) < min(best_report.cost_trace):
             best_lam, best_factors, best_report = lam, factors, report
     best_report.starts_run = starts
+    best_report.sweeps_run = sweeps
     return FactorBundle(best_lam, tuple(best_factors)), best_report

@@ -70,6 +70,20 @@ def dense_posterior_oracle(model, target, evidence):
     return vec / vec.sum()
 
 
+def loop_marginal_counts(codes, alphabet_sizes, combo):
+    """Complete-case joint counts of the 1-based variables `combo` and their
+    support, by one pass of plain Python over the records."""
+    counts = np.zeros([alphabet_sizes[v - 1] for v in combo], dtype=np.int64)
+    support = 0
+    for record in codes.tolist():
+        cells = [record[v - 1] for v in combo]
+        if 0 in cells:
+            continue
+        counts[tuple(c - 1 for c in cells)] += 1
+        support += 1
+    return counts, support
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240809)

@@ -57,6 +57,7 @@ class TestCriterion1Bounds:
                       f"triples(N=6)={tri_n6}, triples(6,3)={triples_bound(6, 3)}")
 
 
+@pytest.mark.slow
 class TestCriterion2NoiselessRecovery:
     """Exact marginals of a random rank-F model, matched-rank fits, 20 trials:
     medians must recover for orders 3 and 4 and stall for order 2."""

@@ -1,5 +1,6 @@
 import csv
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -16,6 +17,9 @@ from pmfrec import (
 from pmfrec.cli import main
 from pmfrec.harness import exact_marginals
 from pmfrec.serialize import load_bundle, load_marginal_set, save_bundle, save_marginal_set
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def run(*argv):
@@ -56,6 +60,14 @@ class TestMarginalsCommand:
                    "--missing-token", "NA") == 0
         ms = load_marginal_set(out)
         assert ms.entries[(2, 3)].support == 1
+
+    @pytest.mark.parametrize("cell", ["inf", "nan"])
+    def test_non_finite_cell_is_data_error(self, tmp_path, capsys, cell):
+        data = tmp_path / "real.csv"
+        data.write_text(f"1.5,2\n{cell},1\n")
+        assert run("marginals", "--input", data, "--output", tmp_path / "m.json",
+                   "--order", 2, "--round", "half-up") == 2
+        assert f"non-finite cell '{cell}' at line 2, column 1" in capsys.readouterr().err
 
     def test_nonexistent_input_is_data_error(self, tmp_path):
         assert run("marginals", "--input", tmp_path / "nope.csv",
@@ -326,6 +338,14 @@ class TestRoundTrip:
 
 
 class TestDeterminism:
+    def test_marginal_file_matches_golden_bytes(self, tmp_path):
+        # the order-2 set of this CSV holds supports 3, 2, 1 and 0
+        data = tmp_path / "d.csv"
+        data.write_text("1,2,3,?\n2,?,1,?\n1,1,?,2\n?,2,2,?\n2,2,3,?\n1,?,?,1\n")
+        out = tmp_path / "m.json"
+        assert run("marginals", "--input", data, "--output", out, "--order", 2) == 0
+        assert out.read_bytes() == (GOLDEN / "marginals_order2.json").read_bytes()
+
     def test_marginal_file_bytes_stable(self, tmp_path):
         data = tmp_path / "d.csv"
         data.write_text("1,2,1\n2,1,2\n1,1,1\n2,2,?\n")

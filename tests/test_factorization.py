@@ -16,6 +16,7 @@ from pmfrec import (
     update_factor,
     update_loadings,
 )
+from pmfrec import factorization
 from pmfrec.factorization import project_columns_to_simplex, random_bundle
 from pmfrec.marginals import MarginalEntry, MarginalSet
 from pmfrec.tensor_ops import DenseTensor, FactorBundle, synthesize
@@ -257,6 +258,33 @@ class TestFit:
         )
         est, report = fit(ms, config)
         assert min(report.cost_trace) <= 1e-16
+
+    def test_sweeps_run_totals_every_start(self, monkeypatch):
+        # rank 1 cannot fit a rank-3 model, so every start ends above the
+        # restart floor and both restarts run
+        model = random_model(4, 3, 3, seed=23)
+        ms = exact_marginals(model, 3)
+        per_start = []
+        fit_once = factorization._fit_once
+
+        def spy(*args):
+            out = fit_once(*args)
+            per_start.append(out[2].sweeps_run)
+            return out
+
+        monkeypatch.setattr(factorization, "_fit_once", spy)
+        config = FitConfig(rank=1, max_outer_sweeps=30, restarts=2, seed=6)
+        _, report = fit(ms, config)
+        assert report.starts_run == len(per_start) == 3
+        assert report.sweeps_run == sum(per_start)
+        assert len(report.cost_trace) - 1 in per_start
+
+    def test_single_start_reports_its_own_sweeps(self):
+        model = random_model(4, 3, 2, seed=24)
+        ms = exact_marginals(model, 3)
+        _, report = fit(ms, FitConfig(rank=2, max_outer_sweeps=50, seed=7))
+        assert report.starts_run == 1
+        assert report.sweeps_run == len(report.cost_trace) - 1
 
     def test_invalid_order_rejected(self):
         model = random_model(5, 3, 2, seed=20)

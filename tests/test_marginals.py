@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pmfrec import marginals
 from pmfrec import (
     DataError,
     DiscreteDataset,
@@ -14,6 +17,8 @@ from pmfrec import (
 )
 from pmfrec.factorization import random_bundle
 from pmfrec.serialize import load_marginal_set, save_marginal_set
+
+from conftest import loop_marginal_counts
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -60,6 +65,120 @@ class TestLoadCsv:
     def test_code_below_one(self, tmp_path):
         with pytest.raises(DataError, match="below 1"):
             load_csv(write(tmp_path, "0,1\n"))
+
+
+def write_codes(path, rng, *, delimiter=",", missing_token="?", has_header=False,
+                pad=False, blank_lines=False, rounding=None, rows=60, cols=4):
+    """A well-formed file of random codes; real-valued cells under `rounding`."""
+    lines = [delimiter.join(f"v{c}" for c in range(cols))] if has_header else []
+    for _ in range(rows):
+        if blank_lines and rng.random() < 0.15:
+            lines.append(rng.choice(["", " ", f" {delimiter} "]))
+        cells = []
+        for _ in range(cols):
+            if rng.random() < 0.2:
+                cell = missing_token
+            elif rounding is not None and rng.random() < 0.6:
+                # quarter steps from 0.5: half-up and ceiling both give codes >= 1
+                cell = str(int(rng.integers(2, 60)) / 4)
+                cell = rng.choice([cell, cell.removeprefix("0"), cell.removesuffix("0")])
+            else:
+                cell = str(int(rng.integers(1, 120)))
+            if pad:
+                blanks = [b for b in ("", " ", "\t") if b != delimiter]
+                cell = " " * int(rng.integers(0, 3)) + cell + rng.choice(blanks)
+            cells.append(cell)
+        lines.append(delimiter.join(cells))
+    path.write_text("\n".join(lines) + rng.choice(["", "\n"]))
+    return path
+
+
+class TestIngestPaths:
+    """The vectorized reader and the per-cell reader give the same codes on
+    well-formed files, and every other file gets the per-cell diagnostic."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("options", [
+        {},
+        {"has_header": True},
+        {"delimiter": ";"},
+        {"delimiter": "\t", "pad": True},
+        {"delimiter": "|", "missing_token": "NA"},
+        {"missing_token": "n/a", "pad": True},
+        {"pad": True, "blank_lines": True},
+        {"rounding": "half-up"},
+        {"rounding": "ceiling", "pad": True},
+        {"rounding": "half-up", "delimiter": "\t", "has_header": True, "blank_lines": True},
+    ])
+    def test_well_formed_files_agree(self, tmp_path, monkeypatch, options, seed):
+        # small chunks put chunk boundaries, and chunks of blank lines, in the file
+        monkeypatch.setattr(marginals, "_CHUNK_CHARS", 64)
+        path = write_codes(tmp_path / "d.csv", np.random.default_rng(seed), **options)
+        args = (path, options.get("missing_token", "?"), options.get("delimiter", ","),
+                options.get("has_header", False), options.get("rounding"))
+        fast = marginals._read_fast(*args)
+        assert fast is not None and fast.dtype == np.int64
+        np.testing.assert_array_equal(fast, marginals._read_cells(*args))
+
+    @pytest.mark.parametrize("text, rounding", [
+        ('1,"2,1"\n2,1\n', None),
+        ("1,2\n2,1,1\n", None),
+        ("1,2\n0,1\n", None),
+        ("1,2\n-1,1\n", None),
+        ("1,2\n2.0,1\n", None),
+        ("1,2\ninf,1\n", "half-up"),
+        ("1,2\nnan,1\n", "ceiling"),
+        ("1,2,\n2,1,\n", None),
+        ("1,?5\n2,1\n", None),
+        ("1 2,\n2,1\n", None),
+        (",1 2\n2,1\n", None),
+        ("1,2\n0.4,1\n", "half-up"),
+    ])
+    @pytest.mark.parametrize("chunk_chars", [1, marginals._CHUNK_CHARS])
+    def test_malformed_files_get_per_cell_diagnostic(self, tmp_path, monkeypatch,
+                                                     chunk_chars, text, rounding):
+        monkeypatch.setattr(marginals, "_CHUNK_CHARS", chunk_chars)
+        path = write(tmp_path, text)
+        args = (path, "?", ",", False, rounding)
+        assert marginals._read_fast(*args) is None
+        with pytest.raises(DataError) as per_cell:
+            marginals._read_cells(*args)
+        with pytest.raises(DataError) as loaded:
+            load_csv(path, rounding=rounding)
+        assert str(loaded.value) == str(per_cell.value)
+
+
+@st.composite
+def coded_datasets(draw):
+    """Small datasets with missing cells and alphabets of size 1 to 3, plus an order."""
+    sizes = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=5)))
+    n_records = draw(st.integers(1, 25))
+    codes = [[draw(st.integers(0, size)) for size in sizes] for _ in range(n_records)]
+    order = draw(st.integers(1, min(4, len(sizes))))
+    return np.array(codes, dtype=np.int64), sizes, order
+
+
+class TestCountingOracle:
+    # the examples pin an alphabet of size 1 and tuples with zero support
+    @given(coded_datasets())
+    @example((np.array([[1, 0, 1], [1, 1, 0], [1, 2, 0]]), (1, 2, 1), 3))
+    @example((np.array([[1, 0, 2, 1], [2, 0, 0, 1], [1, 0, 1, 0]]), (2, 3, 2, 1), 2))
+    @settings(max_examples=60, deadline=None)
+    def test_counts_match_record_loop(self, case):
+        codes, sizes, order = case
+        ms = estimate_marginals(DiscreteDataset(codes=codes, alphabet_sizes=sizes), order)
+        combos = list(itertools.combinations(range(1, len(sizes) + 1), order))
+        assert list(ms.entries) == combos
+        for combo in combos:
+            counts, support = loop_marginal_counts(codes, sizes, combo)
+            entry = ms.entries[combo]
+            assert entry.support == support
+            tensor = entry.tensor.array
+            if support == 0:
+                assert tensor.shape == counts.shape and not tensor.any()
+                continue
+            np.testing.assert_array_equal(np.rint(tensor * support).astype(np.int64), counts)
+            assert tensor.tobytes() == (counts / support).tobytes()
 
 
 class TestEstimateMarginals:

@@ -63,6 +63,7 @@ from .model import (
     construct_trivial_cpd,
     joint_prob,
     map_predict,
+    posterior_batch,
     posterior_over,
 )
 from .serialize import (

@@ -3,8 +3,7 @@
 Subcommands: marginals, fit, bounds, predict, synth, eval. Every command is
 deterministic given --seed and writes artifacts through the fixed-precision
 JSON serializers, so reruns are byte-identical. Exit codes: 0 success,
-1 usage error, 2 data error, 3 numerical failure. PMFREC_THREADS caps the
-worker threads used for Monte-Carlo experiment trials.
+1 usage error, 2 data error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -13,16 +12,17 @@ import argparse
 import csv
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import harness, serialize
-from .errors import DataError, NumericalError, PmfrecError, ZeroEvidenceError
+from .errors import DataError, NumericalError, PmfrecError
 from .factorization import FitConfig, coupled_cost, fit
 from .identifiability import build_report
 from .marginals import MISSING, estimate_marginals, load_csv
-from .model import JointPmfModel, conditional_expectation, map_predict
+# map_predict and conditional_expectation stay importable from this module:
+# the traced pmfbench run wraps cli.map_predict and cli.conditional_expectation.
+from .model import JointPmfModel, conditional_expectation, map_predict, posterior_batch  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -37,14 +37,6 @@ class UsageError(PmfrecError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         raise UsageError(message)
-
-
-def _threads() -> int:
-    raw = os.environ.get("PMFREC_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise UsageError(f"PMFREC_THREADS must be an integer, got {raw!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -249,24 +241,19 @@ def cmd_predict(args) -> int:
         raise DataError(
             f"test file has {raw.n_vars} columns but the model has {model.n_vars} variables"
         )
+    post, live = posterior_batch(model, raw.codes, args.target)
+    if args.mode == "map":
+        values = (post.argmax(axis=1) + 1).tolist()
+    else:
+        expect = post @ np.arange(1.0, post.shape[1] + 1)
+        values = [f"{value:.12g}" for value in expect.tolist()]
     with open(args.output, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row", "prediction", "note"])
-        for i, row in enumerate(raw.codes, start=1):
-            evidence = {
-                v: int(row[v - 1])
-                for v in range(1, model.n_vars + 1)
-                if v != args.target and row[v - 1] != MISSING
-            }
-            try:
-                if args.mode == "map":
-                    value = map_predict(model, args.target, evidence)
-                    writer.writerow([i, value, ""])
-                else:
-                    value = conditional_expectation(model, args.target, evidence)
-                    writer.writerow([i, f"{value:.12g}", ""])
-            except ZeroEvidenceError:
-                writer.writerow([i, "", "zero-probability evidence"])
+        writer.writerows(
+            [i, value, ""] if ok else [i, "", "zero-probability evidence"]
+            for i, (value, ok) in enumerate(zip(values, live.tolist()), start=1)
+        )
     print(f"wrote {raw.n_records} predictions to {args.output}")
     return EXIT_OK
 
@@ -340,10 +327,12 @@ def _eval_predictions(args) -> dict:
         )
     pred, true = [], []
     skipped = 0
-    for value, note, row in zip(values, notes, truth_data.codes):
+    for i, (value, note, row) in enumerate(zip(values, notes, truth_data.codes), start=1):
         if note or value == "":
             skipped += 1
             continue
+        if row[args.target - 1] == MISSING:
+            raise DataError(f"truth row {i} has a missing value in target column {args.target}")
         pred.append(float(value))
         true.append(float(row[args.target - 1]))
     if not pred:
@@ -357,27 +346,7 @@ def _eval_predictions(args) -> dict:
 
 def _eval_experiment(args) -> dict:
     spec = harness.ExperimentSpec.from_dict(serialize.load_json(args.experiment))
-    seeds = harness.trial_seeds(spec.seed, spec.trials)
-    cells = [
-        (order, rank) for order in spec.orders for rank in spec.rank_grid
-    ]
-    threads = _threads()
-
-    def run_cell(cell):
-        order, rank = cell
-        rows = []
-        for t, s in enumerate(seeds):
-            row = harness.run_recovery_trial(spec, order, rank, s)
-            row["trial"] = t
-            rows.append(row)
-        return rows
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_cell = list(pool.map(run_cell, cells))
-    else:
-        per_cell = [run_cell(c) for c in cells]
-    rows = [row for cell_rows in per_cell for row in cell_rows]
+    rows = harness.run_experiment(spec)
     summary = harness.summarize_rows(rows)
     if args.csv:
         fields = sorted({k for s in summary for k in s})

@@ -17,10 +17,10 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import CapacityError, DataError
+from .errors import CapacityError, DataError, ZeroEvidenceError
 from .factorization import FitConfig, fit, random_bundle
 from .marginals import MISSING, DiscreteDataset, MarginalEntry, MarginalSet, estimate_marginals
-from .model import JointPmfModel, map_predict, posterior_over
+from .model import JointPmfModel, posterior_batch
 from .tensor_ops import (
     DEFAULT_ELEMENT_BUDGET,
     DenseTensor,
@@ -369,16 +369,15 @@ def summarize_rows(rows: list[dict], keys: tuple[str, ...] = ("order", "rank_fit
 def map_accuracy(
     model: JointPmfModel, test: DiscreteDataset, target: int
 ) -> float:
-    """Fraction of test rows whose target is predicted exactly by MAP."""
-    hits = 0
-    for row in test.codes:
-        evidence = {
-            v: int(row[v - 1])
-            for v in range(1, test.n_vars + 1)
-            if v != target and row[v - 1] != MISSING
-        }
-        if map_predict(model, target, evidence) == int(row[target - 1]):
-            hits += 1
+    """Fraction of test rows whose target is predicted exactly by MAP.
+
+    Raises ZeroEvidenceError when a row's evidence has probability zero.
+    """
+    post, live = posterior_batch(model, test.codes, target)
+    if not live.all():
+        row = int(np.flatnonzero(~live)[0]) + 1
+        raise ZeroEvidenceError(f"test row {row} has zero-probability evidence")
+    hits = np.count_nonzero(post.argmax(axis=1) + 1 == test.codes[:, target - 1])
     return hits / test.n_records
 
 

@@ -23,6 +23,7 @@ MISSING = 0
 
 _CHUNK_CHARS = 1 << 20  # text per vectorized parse step, which bounds its memory
 _MAX_DIGITS = 15  # 10**15 < 2**53: such digit strings are exact in int64 and float64
+_MAX_CODE = int(np.iinfo(np.int64).max)  # codes are stored as int64
 _POW10 = np.array([float(10**k) for k in range(_MAX_DIGITS + 1)])
 
 
@@ -206,6 +207,10 @@ def _read_cells(path, missing_token, delimiter, has_header, rounding) -> np.ndar
                 if value < 1:
                     raise DataError(
                         f"code {value} at line {lineno}, column {colno} is below 1"
+                    )
+                if value > _MAX_CODE:
+                    raise DataError(
+                        f"cell {cell!r} at line {lineno}, column {colno} is too large for a code"
                     )
                 row.append(value)
             rows.append(row)

@@ -14,11 +14,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ZeroEvidenceError
+from .marginals import MISSING
 from .tensor_ops import DenseTensor, FactorBundle
 
-# Above this variable count, evidence likelihoods are accumulated in log
-# space to dodge underflow of long products.
-_LOG_SPACE_VARS = 30
+# Rows per block of `posterior_batch` are sized from this element budget, so
+# its intermediate arrays stay the same size whatever the row count.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -67,22 +68,67 @@ def joint_prob(model: JointPmfModel, assignment: Sequence[int]) -> float:
     return float(acc.sum())
 
 
-def _evidence_likelihood(model: JointPmfModel, evidence: Mapping[int, int]) -> np.ndarray:
-    """Per-component joint likelihood of the evidence, times the prior."""
-    lam = model.bundle.loadings
-    if model.n_vars > _LOG_SPACE_VARS:
-        with np.errstate(divide="ignore"):
-            log_acc = np.log(lam)
-            for var, code in evidence.items():
-                log_acc = log_acc + np.log(model.bundle.factors[var - 1][code - 1, :])
-        peak = log_acc.max()
-        if not np.isfinite(peak):
-            return np.zeros_like(lam)
-        return np.exp(log_acc - peak)  # any positive rescaling cancels later
-    acc = lam.copy()
-    for var, code in evidence.items():
-        acc = acc * model.bundle.factors[var - 1][code - 1, :]
-    return acc
+def posterior_batch(
+    model: JointPmfModel, codes, target: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior PMFs of the target for every row of an (R, N) code array.
+
+    `codes` follows the `DiscreteDataset` layout (MISSING = 0 for an
+    unobserved cell); the target column is ignored. Returns the (R, I_target)
+    posterior and a boolean mask of the rows whose evidence has positive
+    probability; rows outside the mask hold NaN. Rows are scored in log space
+    (log lambda plus one log-factor row per observed cell, shifted by the
+    row maximum), so long products never underflow, and each row's result is
+    bit-identical whatever R and its block.
+    """
+    if not 1 <= target <= model.n_vars:
+        raise ValueError(f"target {target} out of range 1..{model.n_vars}")
+    codes = np.asarray(codes)
+    if codes.ndim != 2 or codes.shape[1] != model.n_vars:
+        raise ValueError(
+            f"codes must have shape (R, {model.n_vars}), got {codes.shape}"
+        )
+    if not np.issubdtype(codes.dtype, np.integer):
+        raise ValueError(f"codes must be integers, got dtype {codes.dtype}")
+    evidence = [n for n in range(model.n_vars) if n != target - 1]
+    for n in evidence:
+        size = model.alphabet_sizes[n]
+        bad = np.flatnonzero((codes[:, n] < MISSING) | (codes[:, n] > size))
+        if bad.size:
+            raise ValueError(
+                f"code {codes[bad[0], n]} in row {bad[0] + 1} out of alphabet "
+                f"1..{size} for variable {n + 1}"
+            )
+    factors = model.bundle.factors
+    target_factor = factors[target - 1]
+    n_cats, rank = target_factor.shape
+    with np.errstate(divide="ignore"):
+        log_lam = np.log(model.bundle.loadings)
+        tables = [(n, np.vstack([np.zeros((1, rank)), np.log(factors[n])])) for n in evidence]
+    post = np.empty((codes.shape[0], n_cats))
+    live = np.empty(codes.shape[0], dtype=bool)
+    step = max(1, _BLOCK_ELEMENTS // (rank + n_cats))
+    for lo in range(0, codes.shape[0], step):
+        rows = slice(lo, lo + step)
+        block = codes[rows]
+        acc = np.repeat(log_lam[None, :], block.shape[0], axis=0)
+        for n, table in tables:
+            acc += table[block[:, n]]
+        peak = acc.max(axis=1, keepdims=True)
+        ok = np.isfinite(peak[:, 0])  # -inf: no component explains the evidence
+        np.subtract(acc, peak, out=acc, where=ok[:, None])
+        weights = np.exp(acc, out=acc)
+        # One column at a time, so each entry is summed in component order
+        # whatever the block size (a BLAS product may reorder by shape).
+        unnorm = weights[:, :1] * target_factor[:, 0]
+        for f in range(1, rank):
+            unnorm += weights[:, f:f + 1] * target_factor[:, f]
+        total = unnorm.sum(axis=1, keepdims=True)
+        live[rows] = ok & (total[:, 0] > 0.0) & np.isfinite(total[:, 0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(unnorm, total, out=post[rows])
+    post[~live] = np.nan
+    return post, live
 
 
 def posterior_over(
@@ -92,23 +138,21 @@ def posterior_over(
 
     Variables absent from the evidence are marginalized implicitly. Raises
     ZeroEvidenceError when the evidence has probability zero under the model
-    rather than returning NaNs.
+    rather than returning NaNs. A one-row view of `posterior_batch`.
     """
-    if not 1 <= target <= model.n_vars:
-        raise ValueError(f"target {target} out of range 1..{model.n_vars}")
     evidence = {int(v): int(c) for v, c in evidence.items()}
     if target in evidence:
         raise ValueError(f"target variable {target} appears in the evidence")
+    row = np.zeros((1, model.n_vars), dtype=np.int64)
     for var, code in evidence.items():
         _check_assignment(model, var, code)
-    weights = _evidence_likelihood(model, evidence)
-    unnorm = model.bundle.factors[target - 1] @ weights
-    total = float(unnorm.sum())
-    if total <= 0.0 or not np.isfinite(total):
+        row[0, var - 1] = code
+    post, live = posterior_batch(model, row, target)
+    if not live[0]:
         raise ZeroEvidenceError(
             f"evidence {evidence} has zero probability under the model"
         )
-    return unnorm / total
+    return post[0]
 
 
 def map_predict(model: JointPmfModel, target: int, evidence: Mapping[int, int]) -> int:

@@ -6,6 +6,7 @@ through two unrelated routes.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -52,11 +53,11 @@ def simplex_qp_oracle(v):
     return best
 
 
-def dense_posterior_oracle(model, target, evidence):
-    """Posterior over the target by full enumeration of the dense joint."""
-    from pmfrec import synthesize
-
-    arr = synthesize(model.bundle).array
+def dense_target_masses(model, target, evidence):
+    """Unnormalized posterior of the target: the loop-built dense joint summed
+    over every cell that agrees with the evidence. All zeros exactly when the
+    evidence has probability zero."""
+    arr = loop_synthesize(model.bundle.loadings, model.bundle.factors)
     idx = [slice(None)] * model.n_vars
     for var, code in evidence.items():
         idx[var - 1] = code - 1
@@ -66,8 +67,34 @@ def dense_posterior_oracle(model, target, evidence):
     unsliced = [v for v in range(1, model.n_vars + 1) if v not in evidence]
     t_ax = unsliced.index(target)
     other = tuple(a for a in axes if a != t_ax)
-    vec = sub.sum(axis=other) if other else sub
+    return sub.sum(axis=other) if other else sub
+
+
+def dense_posterior_oracle(model, target, evidence):
+    """Posterior over the target by full enumeration of the dense joint."""
+    vec = dense_target_masses(model, target, evidence)
     return vec / vec.sum()
+
+
+def log_space_posterior_oracle(lam, factors, target, row):
+    """Posterior of the 1-based target given one row of 1-based codes (0 =
+    missing), by scalar math.log/math.exp loops with a max shift."""
+    scores = []
+    for f in range(len(lam)):
+        s = math.log(lam[f])
+        for n, code in enumerate(row):
+            if n != target - 1 and code != 0:
+                s += math.log(factors[n][code - 1][f])
+        scores.append(s)
+    peak = max(scores)
+    weights = [math.exp(s - peak) for s in scores]
+    target_factor = factors[target - 1]
+    unnorm = [
+        sum(w * target_factor[i][f] for f, w in enumerate(weights))
+        for i in range(len(target_factor))
+    ]
+    total = sum(unnorm)
+    return [u / total for u in unnorm]
 
 
 def loop_marginal_counts(codes, alphabet_sizes, combo):

@@ -69,6 +69,17 @@ class TestMarginalsCommand:
                    "--order", 2, "--round", "half-up") == 2
         assert f"non-finite cell '{cell}' at line 2, column 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "cell, flags",
+        [("99999999999999999999", ()), ("1e300", ("--round", "ceiling"))],
+    )
+    def test_cell_past_int64_is_data_error(self, tmp_path, capsys, cell, flags):
+        data = tmp_path / "big.csv"
+        data.write_text(f"1,2\n{cell},1\n")
+        assert run("marginals", "--input", data, "--output", tmp_path / "m.json",
+                   "--order", 2, *flags) == 2
+        assert f"cell '{cell}' at line 2, column 1 is too large" in capsys.readouterr().err
+
     def test_nonexistent_input_is_data_error(self, tmp_path):
         assert run("marginals", "--input", tmp_path / "nope.csv",
                    "--output", tmp_path / "m.json") == 2
@@ -273,6 +284,15 @@ class TestSynthEvalCommands:
         assert 0.0 <= doc["misclassification"] <= 1.0
         assert doc["rmse"] >= 0.0
 
+    def test_eval_missing_truth_value_is_data_error(self, tmp_path, capsys):
+        truth = tmp_path / "truth.csv"
+        truth.write_text("1,2\n2,?\n")
+        pred = tmp_path / "pred.csv"
+        pred.write_text("row,prediction,note\n1,2,\n2,1,\n")
+        assert run("eval", "--predictions", pred, "--truth", truth,
+                   "--target", 2) == 2
+        assert "truth row 2 has a missing value in target column 2" in capsys.readouterr().err
+
     def test_eval_mismatched_alphabets_is_data_error(self, tmp_path):
         a = random_model(3, 3, 2, seed=15)
         b = random_model(3, 4, 2, seed=16)
@@ -303,6 +323,29 @@ class TestSynthEvalCommands:
         assert {(r["order"], r["rank_fit"]) for r in rows} == {
             ("2", "2"), ("2", "3"), ("3", "2"), ("3", "3")
         }
+
+    def test_experiment_output_is_run_experiment(self, tmp_path):
+        spec = {
+            "n_vars": 4, "alphabet": 3, "rank_grid": [2, 3], "orders": [2, 3],
+            "trials": 2, "seed": 5, "sample_size": 300, "hide_fraction": 0.2,
+            "include_oracle": True, "max_outer_sweeps": 40,
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out_json = tmp_path / "results.json"
+        assert run("eval", "--experiment", spec_path, "--output", out_json) == 0
+        from pmfrec.harness import ExperimentSpec, run_experiment, summarize_rows
+        from pmfrec.serialize import dump_json
+
+        parsed = ExperimentSpec.from_dict(spec)
+        rows = run_experiment(parsed)
+        expect = tmp_path / "expect.json"
+        dump_json({"spec": vars(parsed).copy(), "rows": rows,
+                   "summary": summarize_rows(rows)}, expect)
+        assert out_json.read_bytes() == expect.read_bytes()
+        assert [(r["order"], r["rank_fit"], r["trial"]) for r in rows] == [
+            (o, k, t) for o in (2, 3) for k in (2, 3) for t in (0, 1)
+        ]
 
 
 class TestRoundTrip:
@@ -354,5 +397,38 @@ class TestDeterminism:
             out = tmp_path / name
             assert run("marginals", "--input", data, "--output", out,
                        "--order", 2) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("mode", ["map", "expect"])
+    def test_predictions_match_golden(self, tmp_path, mode):
+        # rows with missing cells, an all-missing row and two rows whose
+        # evidence has probability zero under the model
+        out = tmp_path / "pred.csv"
+        assert run("predict", "--model", GOLDEN / "predict_model.json",
+                   "--input", GOLDEN / "predict_rows.csv", "--output", out,
+                   "--target", 3, "--mode", mode) == 0
+        golden = GOLDEN / f"predict_{mode}.csv"
+        if mode == "map":
+            assert out.read_bytes() == golden.read_bytes()
+            return
+        with open(out) as fh, open(golden) as gh:
+            got, want = list(csv.DictReader(fh)), list(csv.DictReader(gh))
+        assert [(r["row"], r["note"]) for r in got] == [(r["row"], r["note"]) for r in want]
+        assert sum(1 for r in want if r["note"]) == 2
+        for g, w in zip(got, want):
+            if w["note"]:
+                assert g["prediction"] == ""
+            else:
+                assert float(g["prediction"]) == pytest.approx(float(w["prediction"]), abs=1e-10)
+
+    @pytest.mark.parametrize("mode", ["map", "expect"])
+    def test_prediction_reruns_byte_identical(self, tmp_path, mode):
+        outs = []
+        for name in ("a.csv", "b.csv"):
+            out = tmp_path / name
+            assert run("predict", "--model", GOLDEN / "predict_model.json",
+                       "--input", GOLDEN / "predict_rows.csv", "--output", out,
+                       "--target", 3, "--mode", mode) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]

@@ -321,6 +321,27 @@ class TestExperimentPlumbing:
         acc = map_accuracy(truth, test, 3)
         assert acc > 0.8
 
+    def test_map_accuracy_counts_per_row_map_hits(self):
+        from pmfrec import map_predict
+
+        model = random_model(5, 3, 4, seed=34)
+        test = hide_entries(sample_dataset(model, 300, seed=35), 0.3, seed=36)
+        hits = 0
+        for row in test.codes.tolist():
+            evidence = {v: c for v, c in enumerate(row, start=1) if v != 2 and c != 0}
+            hits += map_predict(model, 2, evidence) == row[1]
+        assert map_accuracy(model, test, 2) == hits / 300
+
+    def test_map_accuracy_zero_evidence_raises(self):
+        from pmfrec import DiscreteDataset, JointPmfModel, ZeroEvidenceError
+
+        A1 = np.array([[1.0], [0.0]])
+        A2 = np.array([[0.5], [0.5]])
+        model = JointPmfModel(FactorBundle(np.array([1.0]), (A1, A2)))
+        test = DiscreteDataset(codes=np.array([[1, 1], [2, 1]]), alphabet_sizes=(2, 2))
+        with pytest.raises(ZeroEvidenceError, match="test row 2"):
+            map_accuracy(model, test, 2)
+
     def test_select_rank_prefers_adequate_rank(self):
         from pmfrec.harness import select_rank
 

@@ -15,12 +15,13 @@ from pmfrec import (
     construct_trivial_cpd,
     joint_prob,
     map_predict,
+    posterior_batch,
     posterior_over,
     random_model,
     synthesize,
 )
 
-from conftest import dense_posterior_oracle
+from conftest import dense_posterior_oracle, dense_target_masses, log_space_posterior_oracle
 
 
 class TestJointProb:
@@ -126,7 +127,8 @@ class TestPosteriorOver:
             )
 
     def test_log_space_path_matches_direct(self):
-        # models over 30 variables switch to log-space accumulation
+        # the log-space path agrees with the linear product where that
+        # product does not underflow
         model = random_model(32, 3, 4, seed=9)
         evidence = {v: 1 + (v % 3) for v in range(1, 31)}
         post = posterior_over(model, 32, evidence)
@@ -137,6 +139,141 @@ class TestPosteriorOver:
         expect = model.bundle.factors[31] @ lam
         expect = expect / expect.sum()
         np.testing.assert_allclose(post, expect, atol=1e-10)
+
+
+def _row_evidence(row, target):
+    return {v: int(c) for v, c in enumerate(row, start=1) if v != target and c != 0}
+
+
+def _model_with_zeros(rng, sizes, F):
+    """Random model whose factors and loadings hold exact zeros, so that some
+    evidence has probability zero; every column keeps a positive entry."""
+    lam = rng.random(F) * (rng.random(F) < 0.8)
+    lam[rng.integers(F)] = 0.5 + rng.random()
+    factors = []
+    for I in sizes:
+        A = rng.random((I, F)) * (rng.random((I, F)) < 0.7)
+        A[rng.integers(I, size=F), np.arange(F)] += 0.5
+        factors.append(A / A.sum(axis=0))
+    return JointPmfModel(FactorBundle(lam / lam.sum(), tuple(factors)))
+
+
+class TestPosteriorBatch:
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_dense_enumeration(self, seed):
+        rng = np.random.default_rng(seed)
+        N = int(rng.integers(1, 5))
+        sizes = [int(rng.integers(1, 4)) for _ in range(N)]
+        F = int(rng.integers(1, 5))
+        if rng.random() < 0.5:
+            model = _model_with_zeros(rng, sizes, F)
+        else:
+            model = JointPmfModel(FactorBundle(
+                rng.dirichlet(np.ones(F)),
+                tuple(rng.dirichlet(np.ones(I), size=F).T for I in sizes),
+            ))
+        target = int(rng.integers(1, N + 1))
+        R = int(rng.integers(1, 9))
+        codes = np.column_stack(
+            [rng.integers(0, I + 1, size=R) for I in sizes]
+        ).astype(np.int64)
+        codes[0, :] = 0  # one row with no evidence at all
+        post, live = posterior_batch(model, codes, target)
+        assert post.shape == (R, sizes[target - 1])
+        assert live.dtype == bool and live.shape == (R,)
+        for r in range(R):
+            evidence = _row_evidence(codes[r], target)
+            masses = dense_target_masses(model, target, evidence)
+            if masses.sum() == 0.0:
+                assert not live[r]
+                assert np.isnan(post[r]).all()
+                with pytest.raises(ZeroEvidenceError):
+                    posterior_over(model, target, evidence)
+            else:
+                assert live[r]
+                np.testing.assert_allclose(
+                    post[r], dense_posterior_oracle(model, target, evidence),
+                    rtol=0, atol=1e-12,
+                )
+
+    def test_target_column_is_ignored(self):
+        model = random_model(4, 3, 3, seed=20)
+        codes = np.array([[1, 2, 3, 0], [1, 2, 3, 2], [1, 2, 3, 9]])
+        post, live = posterior_batch(model, codes, 4)
+        assert live.all()
+        for row in post:
+            assert row.tobytes() == posterior_over(model, 4, {1: 1, 2: 2, 3: 3}).tobytes()
+
+    def test_underflowing_products_stay_exact(self):
+        # 39 observed cells of probability about 1e-9 each: the linear
+        # product of every component underflows to 0.0.
+        rng = np.random.default_rng(21)
+        N, F, target = 40, 4, 17
+        lam = rng.dirichlet(np.ones(F))
+        factors = []
+        for _ in range(N):
+            rare = 1e-9 * rng.uniform(0.5, 2.0, size=F)
+            factors.append(np.vstack([1.0 - rare, rare]))
+        model = JointPmfModel(FactorBundle(lam, tuple(factors)))
+        row = [2] * N
+        row[target - 1] = 0
+        for f in range(F):
+            linear = lam[f]
+            for n in range(N):
+                if n != target - 1:
+                    linear *= factors[n][1, f]
+            assert linear == 0.0
+        post, live = posterior_batch(model, np.array([row]), target)
+        assert live[0]
+        expect = log_space_posterior_oracle(
+            lam.tolist(), [A.tolist() for A in factors], target, row
+        )
+        np.testing.assert_allclose(post[0], expect, rtol=0, atol=1e-12)
+        assert post[0, 1] > 1e-9  # the rare code is not washed out
+
+    def test_rows_are_bitwise_independent_of_batch_and_block(self, monkeypatch):
+        import pmfrec.model as model_module
+
+        rng = np.random.default_rng(22)
+        sizes = [3, 5, 2, 4, 6, 3]
+        model = JointPmfModel(FactorBundle(
+            rng.dirichlet(np.ones(13)),
+            tuple(rng.dirichlet(np.ones(I), size=13).T for I in sizes),
+        ))
+        target = 5
+        step = model_module._BLOCK_ELEMENTS // (13 + sizes[target - 1])
+        R = 2 * step + 37  # three blocks, the last one partial
+        codes = np.column_stack([rng.integers(0, I + 1, size=R) for I in sizes])
+        whole, live = posterior_batch(model, codes, target)
+        assert live.all()
+        for r in range(R):
+            single = posterior_over(model, target, _row_evidence(codes[r], target))
+            assert single.tobytes() == whole[r].tobytes(), r
+        for elements in (1, 7 * 19, 1000):
+            monkeypatch.setattr(model_module, "_BLOCK_ELEMENTS", elements)
+            again, _ = posterior_batch(model, codes, target)
+            assert again.tobytes() == whole.tobytes()
+
+    def test_empty_batch(self):
+        model = random_model(3, 2, 2, seed=23)
+        post, live = posterior_batch(model, np.zeros((0, 3), dtype=np.int64), 1)
+        assert post.shape == (0, 2) and live.shape == (0,)
+
+    @pytest.mark.parametrize(
+        "codes, target",
+        [
+            ([[1, 3, 1]], 1),      # code past the alphabet
+            ([[1, -1, 1]], 1),     # negative code
+            ([[1, 1]], 1),         # wrong column count
+            ([[1, 1, 1]], 4),      # target out of range
+            ([[1.0, 1.0, 1.0]], 1),  # not integer codes
+        ],
+    )
+    def test_invalid_input_rejected(self, codes, target):
+        model = random_model(3, 2, 2, seed=24)
+        with pytest.raises(ValueError):
+            posterior_batch(model, np.array(codes), target)
 
 
 class TestMapPredict:

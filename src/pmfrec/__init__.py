@@ -75,13 +75,9 @@ from .serialize import (
 from .tensor_ops import (
     DenseTensor,
     FactorBundle,
-    khatri_rao,
     khatri_rao_stack,
-    mttkrp,
     synthesize,
     unfold,
-    fold,
-    vectorize,
 )
 
 __version__ = "0.1.0"

@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NumericalError
 from .marginals import MarginalSet
-from .tensor_ops import DenseTensor, FactorBundle, unfold
+from .tensor_ops import FactorBundle, khatri_rao_stack, unfold
 
 # momentum schedule: growth on accepted extrapolation, cap, decay on rejection
 _MOM = (1.25, 0.9995, 0.7)
@@ -32,24 +32,23 @@ _MOM = (1.25, 0.9995, 0.7)
 class FitConfig:
     """Solver knobs.
 
-    `rho_policy` is "trace" (rho = trace(G)/F, refreshed per block per sweep)
-    or a fixed positive float. `extrapolation` turns on cost-guarded momentum
-    across sweeps (an extrapolated point is kept only when it lowers the
-    cost, so accepted iterates stay feasible and monotone). `restarts` allows
-    that many fresh random initializations when a run converges above
-    `restart_floor`; the best-cost solution over all starts is returned.
+    A fit runs at most `max_outer_sweeps` sweeps of `admm_inner_iters` ADMM
+    iterations per block, and stops early when the relative cost change drops
+    below `outer_tol` or the cost reaches `cost_floor`. `seed` draws the
+    random starts and reseeded columns. `per_tuple_weights` scales the cost
+    term of each listed tuple (default 1; weight 0 drops the tuple).
+    `restarts` allows that many fresh random initializations when a run
+    converges above `restart_floor`; the best-cost solution over all starts
+    is returned.
     """
 
     rank: int
     max_outer_sweeps: int = 500
     admm_inner_iters: int = 10
-    rho_policy: float | str = "trace"
     outer_tol: float = 1e-8
     cost_floor: float = 0.0
     seed: int = 0
     per_tuple_weights: Mapping[tuple[int, ...], float] | None = None
-    extrapolation: bool = True
-    revive_dead_components: bool = True
     restarts: int = 0
     restart_floor: float = 0.0
 
@@ -62,11 +61,6 @@ class FitConfig:
             raise ValueError("outer_tol must be positive")
         if self.restarts < 0:
             raise ValueError("restarts must be nonnegative")
-        if isinstance(self.rho_policy, str):
-            if self.rho_policy != "trace":
-                raise ValueError(f"unknown rho policy {self.rho_policy!r}")
-        elif self.rho_policy <= 0:
-            raise NumericalError("fixed rho must be positive")
 
     def weight(self, key: tuple[int, ...]) -> float:
         if self.per_tuple_weights is None:
@@ -108,35 +102,35 @@ class FitReport:
     block_residuals: dict[str, BlockReport] = field(default_factory=dict)
 
 
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum(x) = 1} by sort and threshold.
+def project_columns_to_simplex(M: np.ndarray) -> np.ndarray:
+    """Euclidean projection of each column onto {x >= 0, sum(x) = 1} by sort
+    and threshold.
 
     The threshold index is the largest one passing the positivity test, which
     makes the output deterministic at ties.
     """
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
-    if v.size == 0:
-        raise ValueError("cannot project an empty vector")
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    ks = np.arange(1, v.size + 1)
-    cond = u + (1.0 - css) / ks > 0.0
-    k = int(np.nonzero(cond)[0][-1])
-    theta = (css[k] - 1.0) / (k + 1)
-    return np.maximum(v - theta, 0.0)
-
-
-def project_columns_to_simplex(M: np.ndarray) -> np.ndarray:
-    """Column-wise simplex projection of a matrix (vectorized)."""
     M = np.asarray(M, dtype=np.float64)
     n = M.shape[0]
-    u = np.sort(M, axis=0)[::-1, :]
+    u = np.sort(M, axis=0)[::-1]
     css = np.cumsum(u, axis=0)
-    ks = np.arange(1, n + 1)[:, None]
-    cond = u + (1.0 - css) / ks > 0.0
-    k = n - 1 - np.argmax(cond[::-1, :], axis=0)  # largest passing index per column
-    theta = (np.take_along_axis(css, k[None, :], axis=0)[0] - 1.0) / (k + 1)
-    return np.maximum(M - theta[None, :], 0.0)
+    cond = u + (1.0 - css) / np.arange(1, n + 1)[:, None] > 0.0
+    k = n - 1 - np.argmax(cond[::-1], axis=0)  # largest passing index per column
+    theta = (css[k, np.arange(M.shape[1])] - 1.0) / (k + 1)
+    return np.maximum(M - theta, 0.0)
+
+
+def project_simplex(v: np.ndarray) -> np.ndarray:
+    """Simplex projection of one vector: the one-column case of
+    `project_columns_to_simplex`."""
+    v = np.asarray(v, dtype=np.float64).reshape(-1, 1)
+    if v.size == 0:
+        raise ValueError("cannot project an empty vector")
+    return project_columns_to_simplex(v)[:, 0]
+
+
+def _project_row(M: np.ndarray) -> np.ndarray:
+    """Simplex projection of the single row of a 1 x F block (the loadings)."""
+    return project_columns_to_simplex(M.T).T
 
 
 def random_bundle(
@@ -150,14 +144,6 @@ def random_bundle(
         factors.append(A / A.sum(axis=0, keepdims=True))
     lam = rng.uniform(size=rank)
     return FactorBundle(lam / lam.sum(), tuple(factors))
-
-
-def _kr(mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Khatri-Rao with the first matrix's row index fastest."""
-    out = mats[0]
-    for M in mats[1:]:
-        out = (M[:, None, :] * out[None, :, :]).reshape(-1, out.shape[1])
-    return out
 
 
 @dataclass
@@ -186,7 +172,7 @@ def _prepare(ms: MarginalSet, config: FitConfig) -> list[_TupleData]:
 def _cost_from_tuples(tuples: list[_TupleData], lam, factors) -> float:
     total = 0.0
     for td in tuples:
-        Q = _kr([factors[v - 1] for v in td.key])
+        Q = khatri_rao_stack([factors[v - 1] for v in td.key])
         r = td.x - Q @ lam
         total += td.weight * 0.5 * float(r @ r)
     return total
@@ -202,23 +188,18 @@ def coupled_cost(ms: MarginalSet, bundle: FactorBundle, config: FitConfig | None
     return _cost_from_tuples(tuples, bundle.loadings, list(bundle.factors))
 
 
-def _resolve_rho(config: FitConfig, G: np.ndarray) -> float:
-    if isinstance(config.rho_policy, str):
-        rho = float(np.trace(G)) / G.shape[0]
-        return rho if rho > 0.0 else 1.0
-    return float(config.rho_policy)
-
-
-def _admm_matrix(
+def _admm(
     G: np.ndarray,
     V: np.ndarray,
     A0: np.ndarray,
     U0: np.ndarray,
     rho: float,
     iters: int,
+    project: Callable[[np.ndarray], np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, BlockReport]:
-    """Scaled ADMM on one block: solve against (G + rho I), project columns
-    onto the simplex, update the multipliers. A0 is I x F, V is F x I."""
+    """Scaled ADMM on one block: solve against (G + rho I), map the result
+    onto the block's feasible set with `project`, update the multipliers.
+    A0 and U0 are m x F, V is F x m."""
     Gr = G + rho * np.eye(G.shape[0])
     cho = cho_factor(Gr, lower=True)
     A = A0
@@ -233,7 +214,7 @@ def _admm_matrix(
         resid = np.linalg.norm(Gr @ Ahat - rhs)
         worst_normal = max(worst_normal, float(resid) / vscale)
         Ahat_T = Ahat.T
-        A_new = project_columns_to_simplex(Ahat_T - U)
+        A_new = project(Ahat_T - U)
         U = U + A_new - Ahat_T
         A_prev, A = A, A_new
     report = BlockReport(
@@ -243,6 +224,25 @@ def _admm_matrix(
         normal_eq_residual=worst_normal,
     )
     return A, U, report
+
+
+def _weighted_gram(
+    weight: float,
+    variables: Sequence[int],
+    factors: Sequence[np.ndarray],
+    grams: dict[int, np.ndarray],
+    rank: int,
+) -> np.ndarray:
+    """`weight` times the Hadamard product of the factor Grams of
+    `variables`, which is the Gram of their Khatri-Rao product. Grams are
+    cached in `grams` by variable."""
+    gram = np.full((rank, rank), weight)
+    for v in variables:
+        if v not in grams:
+            A = factors[v - 1]
+            grams[v] = A.T @ A
+        gram = gram * grams[v]
+    return gram
 
 
 def _factor_system(
@@ -260,15 +260,9 @@ def _factor_system(
         if var not in td.key:
             continue
         others = [v for v in td.key if v != var]
-        gram = np.full((rank, rank), td.weight)
-        for v in others:
-            if v not in grams:
-                A = factors[v - 1]
-                grams[v] = A.T @ A
-            gram = gram * grams[v]
-        gram_sum += gram
+        gram_sum += _weighted_gram(td.weight, others, factors, grams, rank)
         pos = td.key.index(var) + 1
-        Q = _kr([factors[v - 1] for v in others])
+        Q = khatri_rao_stack([factors[v - 1] for v in others])
         V_sum += td.weight * (Q.T @ td.unfoldings[pos])
     G = np.outer(lam, lam) * gram_sum
     V = lam[:, None] * V_sum
@@ -278,20 +272,49 @@ def _factor_system(
 def _loadings_system(
     tuples: list[_TupleData], factors: Sequence[np.ndarray], rank: int
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrix and data term (F x 1) for the loadings block."""
     grams = {}
     G = np.zeros((rank, rank))
     V = np.zeros(rank)
     for td in tuples:
-        gram = np.full((rank, rank), td.weight)
-        for v in td.key:
-            if v not in grams:
-                A = factors[v - 1]
-                grams[v] = A.T @ A
-            gram = gram * grams[v]
-        G += gram
-        Q = _kr([factors[v - 1] for v in td.key])
+        G += _weighted_gram(td.weight, td.key, factors, grams, rank)
+        Q = khatri_rao_stack([factors[v - 1] for v in td.key])
         V += td.weight * (Q.T @ td.x)
-    return G, V
+    return G, V[:, None]
+
+
+def _update_block(
+    tuples: list[_TupleData],
+    factors: Sequence[np.ndarray],
+    lam: np.ndarray,
+    var: int | None,
+    config: FitConfig,
+    dual: np.ndarray | None,
+) -> UpdateResult:
+    """One ADMM update of the factor of `var`, or of the loadings when `var`
+    is None (a 1 x F block), with every other block fixed."""
+    if var is None:
+        G, V = _loadings_system(tuples, factors, config.rank)
+        A0, project = lam[None, :], _project_row
+    else:
+        G, V = _factor_system(tuples, factors, lam, var, config.rank)
+        A0, project = factors[var - 1], project_columns_to_simplex
+    rho = float(np.trace(G)) / config.rank
+    U0 = np.zeros_like(A0) if dual is None else np.asarray(dual).reshape(A0.shape)
+    A, U, report = _admm(
+        G, V, A0, U0, rho if rho > 0.0 else 1.0, config.admm_inner_iters, project
+    )
+    if var is None:
+        A, U = A[0], U[0]
+    return UpdateResult(values=A, dual=U, report=report)
+
+
+def _block_inputs(
+    ms: MarginalSet, bundle: FactorBundle, config: FitConfig
+) -> tuple[list[_TupleData], list[np.ndarray]]:
+    if config.rank != bundle.rank:
+        raise ValueError(f"config rank {config.rank} does not match bundle rank {bundle.rank}")
+    return _prepare(ms, config), [np.array(A) for A in bundle.factors]
 
 
 def update_factor(
@@ -308,28 +331,8 @@ def update_factor(
     """
     if not 1 <= var <= bundle.n_vars:
         raise ValueError(f"variable {var} out of range")
-    if config.rank != bundle.rank:
-        raise ValueError(f"config rank {config.rank} does not match bundle rank {bundle.rank}")
-    tuples = _prepare(ms, config)
-    return _update_factor_fast(
-        tuples, [np.array(A) for A in bundle.factors], bundle.loadings, var, config, dual
-    )
-
-
-def _update_factor_fast(
-    tuples: list[_TupleData],
-    factors: Sequence[np.ndarray],
-    lam: np.ndarray,
-    var: int,
-    config: FitConfig,
-    dual: np.ndarray | None,
-) -> UpdateResult:
-    G, V = _factor_system(tuples, factors, lam, var, config.rank)
-    rho = _resolve_rho(config, G)
-    A0 = np.array(factors[var - 1])
-    U0 = np.zeros_like(A0) if dual is None else np.asarray(dual)
-    A, U, report = _admm_matrix(G, V, A0, U0, rho, config.admm_inner_iters)
-    return UpdateResult(values=A, dual=U, report=report)
+    tuples, factors = _block_inputs(ms, bundle, config)
+    return _update_block(tuples, factors, bundle.loadings, var, config, dual)
 
 
 def update_loadings(
@@ -339,47 +342,8 @@ def update_loadings(
     dual: np.ndarray | None = None,
 ) -> UpdateResult:
     """One ADMM block update of the loading vector, factors fixed."""
-    if config.rank != bundle.rank:
-        raise ValueError(f"config rank {config.rank} does not match bundle rank {bundle.rank}")
-    tuples = _prepare(ms, config)
-    return _update_loadings_fast(
-        tuples, [np.array(A) for A in bundle.factors], bundle.loadings, config, dual
-    )
-
-
-def _update_loadings_fast(
-    tuples: list[_TupleData],
-    factors: Sequence[np.ndarray],
-    lam0: np.ndarray,
-    config: FitConfig,
-    dual: np.ndarray | None,
-) -> UpdateResult:
-    rank = config.rank
-    G, V = _loadings_system(tuples, factors, rank)
-    rho = _resolve_rho(config, G)
-    Gr = G + rho * np.eye(rank)
-    cho = cho_factor(Gr, lower=True)
-    lam = np.array(lam0)
-    u = np.zeros_like(lam) if dual is None else np.asarray(dual)
-    vscale = 1.0 + float(np.linalg.norm(V))
-    worst_normal = 0.0
-    lam_hat = lam
-    lam_prev = lam
-    for _ in range(config.admm_inner_iters):
-        rhs = V + rho * (lam + u)
-        lam_hat = cho_solve(cho, rhs)
-        resid = np.linalg.norm(Gr @ lam_hat - rhs)
-        worst_normal = max(worst_normal, float(resid) / vscale)
-        lam_new = project_simplex(lam_hat - u)
-        u = u + lam_new - lam_hat
-        lam_prev, lam = lam, lam_new
-    report = BlockReport(
-        rho=rho,
-        primal_residual=float(np.linalg.norm(lam - lam_hat)),
-        dual_residual=rho * float(np.linalg.norm(lam - lam_prev)),
-        normal_eq_residual=worst_normal,
-    )
-    return UpdateResult(values=lam, dual=u, report=report)
+    tuples, factors = _block_inputs(ms, bundle, config)
+    return _update_block(tuples, factors, bundle.loadings, None, config, dual)
 
 
 def _spurious_components(lam: np.ndarray, factors: Sequence[np.ndarray]) -> list[int]:
@@ -436,15 +400,15 @@ def _fit_once(
     prev_factors = [A.copy() for A in factors]
     beta = 0.3  # momentum weight, adapted by acceptance
     revive_countdown = 0
-    revive_budget = 10 if config.revive_dead_components else 0
+    revive_budget = 10
 
     for sweep in range(1, config.max_outer_sweeps + 1):
         for v in range(1, n_vars + 1):
-            res = _update_factor_fast(tuples, factors, lam, v, config, duals[v])
+            res = _update_block(tuples, factors, lam, v, config, duals[v])
             factors[v - 1] = res.values
             duals[v] = res.dual
             report.block_residuals[f"A{v}"] = res.report
-        res = _update_loadings_fast(tuples, factors, lam, config, duals["loadings"])
+        res = _update_block(tuples, factors, lam, None, config, duals["loadings"])
         lam = res.values
         duals["loadings"] = res.dual
         report.block_residuals["loadings"] = res.report
@@ -454,20 +418,21 @@ def _fit_once(
         if not np.isfinite(cost):
             raise NumericalError(f"cost became non-finite at sweep {sweep}")
 
-        if config.extrapolation:
-            ex_lam = project_simplex(lam + beta * (lam - prev_lam))
-            ex_factors = [
-                project_columns_to_simplex(A + beta * (A - P))
-                for A, P in zip(factors, prev_factors)
-            ]
-            ex_cost = _cost_from_tuples(tuples, ex_lam, ex_factors)
-            prev_lam = lam.copy()
-            prev_factors = [A.copy() for A in factors]
-            if np.isfinite(ex_cost) and ex_cost < cost:
-                lam, factors, cost = ex_lam, ex_factors, ex_cost
-                beta = min(beta * _MOM[0], _MOM[1])
-            else:
-                beta = max(beta * _MOM[2], 1e-3)
+        # cost-guarded momentum: an extrapolated point is kept only when it
+        # lowers the cost, so accepted iterates stay feasible and monotone
+        ex_lam = project_simplex(lam + beta * (lam - prev_lam))
+        ex_factors = [
+            project_columns_to_simplex(A + beta * (A - P))
+            for A, P in zip(factors, prev_factors)
+        ]
+        ex_cost = _cost_from_tuples(tuples, ex_lam, ex_factors)
+        prev_lam = lam.copy()
+        prev_factors = [A.copy() for A in factors]
+        if np.isfinite(ex_cost) and ex_cost < cost:
+            lam, factors, cost = ex_lam, ex_factors, ex_cost
+            beta = min(beta * _MOM[0], _MOM[1])
+        else:
+            beta = max(beta * _MOM[2], 1e-3)
 
         report.cost_trace.append(cost)
         report.sweeps_run = sweep

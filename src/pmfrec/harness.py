@@ -371,8 +371,14 @@ def map_accuracy(
 ) -> float:
     """Fraction of test rows whose target is predicted exactly by MAP.
 
-    Raises ZeroEvidenceError when a row's evidence has probability zero.
+    Raises DataError when a row's target cell is missing and
+    ZeroEvidenceError when a row's evidence has probability zero.
     """
+    missing = np.flatnonzero(test.codes[:, target - 1] == MISSING)
+    if missing.size:
+        raise DataError(
+            f"test row {int(missing[0]) + 1} has a missing value in target column {target}"
+        )
     post, live = posterior_batch(model, test.codes, target)
     if not live.all():
         row = int(np.flatnonzero(~live)[0]) + 1

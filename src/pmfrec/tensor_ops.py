@@ -222,70 +222,21 @@ def unfold(t: DenseTensor, mode: int) -> np.ndarray:
     return moved.reshape(-1, t.shape[mode - 1], order="F")
 
 
-def fold(mat: np.ndarray, mode: int, shape: Sequence[int]) -> DenseTensor:
-    """Inverse of `unfold`: rebuild the tensor of `shape` from its mode-n unfolding."""
-    shape = tuple(int(d) for d in shape)
-    if not 1 <= mode <= len(shape):
-        raise ValueError(f"mode {mode} out of range for shape {shape}")
-    others = shape[: mode - 1] + shape[mode:]
-    arr = np.asarray(mat, dtype=np.float64).reshape(others + (shape[mode - 1],), order="F")
-    return DenseTensor.from_array(np.moveaxis(arr, -1, mode - 1))
-
-
-def khatri_rao(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Column-wise Kronecker product; column f is kron(A[:, f], B[:, f])."""
-    A = np.asarray(A, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
-    if A.shape[1] != B.shape[1]:
-        raise ValueError(f"column counts differ: {A.shape[1]} vs {B.shape[1]}")
-    out = A[:, None, :] * B[None, :, :]
-    return out.reshape(A.shape[0] * B.shape[0], A.shape[1])
-
-
 def khatri_rao_stack(matrices: Sequence[np.ndarray]) -> np.ndarray:
-    """Khatri-Rao product over `matrices` with the FIRST one's row index fastest.
+    """Khatri-Rao product of one or more float matrices with the FIRST one's
+    row index fastest.
 
     For matrices listed in increasing mode order this is the descending
-    product A_K kr ... kr A_1 that appears in unfoldings and vectorization.
+    product A_K kr ... kr A_1 that appears in unfoldings and vectorization:
+    the flat data of the CP model is ``khatri_rao_stack(factors) @ loadings``,
+    and this product of the other factors, transposed, times the mode-n
+    unfolding is the MTTKRP. The fit calls it once per tuple and block, so
+    it takes the arrays as given and checks only their column counts.
     """
-    if not matrices:
-        raise ValueError("need at least one matrix")
-    out = np.asarray(matrices[0], dtype=np.float64)
+    out = matrices[0]
+    F = out.shape[1]
     for M in matrices[1:]:
-        M = np.asarray(M, dtype=np.float64)
-        if M.shape[1] != out.shape[1]:
+        if M.shape[1] != F:
             raise ValueError("column counts differ in Khatri-Rao chain")
-        out = (M[:, None, :] * out[None, :, :]).reshape(M.shape[0] * out.shape[0], out.shape[1])
+        out = (M[:, None] * out).reshape(-1, F)
     return out
-
-
-def mttkrp(t: DenseTensor, factors: Sequence[np.ndarray], mode: int) -> np.ndarray:
-    """Product of the Khatri-Rao of all non-`mode` factors with the mode-n unfolding.
-
-    Returns the F x I_n matrix without materializing the Khatri-Rao product;
-    the contraction streams over tensor entries via einsum.
-    """
-    if len(factors) != t.order:
-        raise ValueError(f"{len(factors)} factors for an order-{t.order} tensor")
-    if not 1 <= mode <= t.order:
-        raise ValueError(f"mode {mode} out of range for order-{t.order} tensor")
-    for k, A in enumerate(factors):
-        if k != mode - 1 and A.shape[0] != t.shape[k]:
-            raise ValueError(
-                f"factor {k + 1} has {A.shape[0]} rows but tensor dimension is {t.shape[k]}"
-            )
-    letters = _einsum_letters(t.order)
-    operands = []
-    terms = []
-    for k, A in enumerate(factors):
-        if k == mode - 1:
-            continue
-        operands.append(np.asarray(A, dtype=np.float64))
-        terms.append(f"{letters[k]}z")
-    spec = "".join(letters) + "," + ",".join(terms) + "->z" + letters[mode - 1]
-    return _cached_einsum(spec, t.array, *operands)
-
-
-def vectorize(t: DenseTensor) -> np.ndarray:
-    """Flat copy of the tensor in its linear-index order."""
-    return t.data.copy()

@@ -27,6 +27,22 @@ def loop_synthesize(lam, factors):
     return out
 
 
+def loop_mttkrp(arr, factors, mode):
+    """F x I_mode matrix: entry (f, i) sums arr[idx] times the product of
+    factors[k][idx[k], f] over k != mode - 1, for every idx with
+    idx[mode - 1] = i, by loops over the entries."""
+    rank = factors[0].shape[1]
+    out = np.zeros((rank, arr.shape[mode - 1]))
+    for idx in itertools.product(*[range(s) for s in arr.shape]):
+        for f in range(rank):
+            term = arr[idx]
+            for k, i in enumerate(idx):
+                if k != mode - 1:
+                    term *= factors[k][i, f]
+            out[f, idx[mode - 1]] += term
+    return out
+
+
 def simplex_qp_oracle(v):
     """Exhaustive active-set solve of min ||x - v||^2 on the simplex.
 

@@ -130,6 +130,37 @@ class TestFitCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_fit_matches_golden(self, tmp_path):
+        # tests/golden/fit_marginals_order3.json holds the order-3 set of
+        # random_model(5, 3, 3, seed=11), 400 rows sampled with seed 12 and
+        # 20% of cells hidden with seed 13; fit_model.json and its report were
+        # written from it by the command below. Counts and the stopping
+        # reason must match exactly. Floats get a tolerance because a faster
+        # kernel may change summation order and move the last bits: 1e-9
+        # absolute on the bundle entries (all in [0, 1]) and 1e-9 relative on
+        # the cost trace and the block residuals.
+        out = tmp_path / "model.json"
+        assert run("fit", "--input", GOLDEN / "fit_marginals_order3.json",
+                   "--output", out, "--rank", 3, "--seed", 0,
+                   "--max-sweeps", 40, "--tol", "1e-300") == 0
+        got, want = load_bundle(out), load_bundle(GOLDEN / "fit_model.json")
+        np.testing.assert_allclose(got.loadings, want.loadings, rtol=0, atol=1e-9)
+        for A, B in zip(got.factors, want.factors, strict=True):
+            np.testing.assert_allclose(A, B, rtol=0, atol=1e-9)
+        report = json.load(open(f"{out}.report.json"))
+        golden = json.load(open(GOLDEN / "fit_model.json.report.json"))
+        for key in ("sweeps_run", "best_sweep", "termination_reason"):
+            assert report[key] == golden[key]
+        for key in ("cost_trace", "final_cost", "best_cost"):
+            np.testing.assert_allclose(report[key], golden[key], rtol=1e-9, atol=0)
+        assert report["block_residuals"].keys() == golden["block_residuals"].keys()
+        for name, block in golden["block_residuals"].items():
+            assert report["block_residuals"][name].keys() == block.keys()
+            for field, value in block.items():
+                np.testing.assert_allclose(
+                    report["block_residuals"][name][field], value, rtol=1e-9, atol=0
+                )
+
 
 class TestBoundsCommand:
     def test_table_values(self, capsys):

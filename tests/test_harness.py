@@ -322,15 +322,30 @@ class TestExperimentPlumbing:
         assert acc > 0.8
 
     def test_map_accuracy_counts_per_row_map_hits(self):
-        from pmfrec import map_predict
+        from pmfrec import DiscreteDataset, map_predict
 
         model = random_model(5, 3, 4, seed=34)
-        test = hide_entries(sample_dataset(model, 300, seed=35), 0.3, seed=36)
+        full = sample_dataset(model, 300, seed=35)
+        # hidden evidence cells stay hidden; the target column is restored
+        codes = hide_entries(full, 0.3, seed=36).codes.copy()
+        codes[:, 1] = full.codes[:, 1]
+        test = DiscreteDataset(codes=codes, alphabet_sizes=full.alphabet_sizes)
         hits = 0
         for row in test.codes.tolist():
             evidence = {v: c for v, c in enumerate(row, start=1) if v != 2 and c != 0}
             hits += map_predict(model, 2, evidence) == row[1]
         assert map_accuracy(model, test, 2) == hits / 300
+
+    def test_map_accuracy_missing_target_raises(self):
+        from pmfrec import DataError, DiscreteDataset
+
+        model = random_model(3, 2, 2, seed=37)
+        test = DiscreteDataset(
+            codes=np.array([[1, 2, 1], [2, 0, 1], [1, 1, 0]]), alphabet_sizes=(2, 2, 2)
+        )
+        assert 0.0 <= map_accuracy(model, test, 1) <= 1.0  # missing evidence is fine
+        with pytest.raises(DataError, match="test row 2 has a missing value in target column 2"):
+            map_accuracy(model, test, 2)
 
     def test_map_accuracy_zero_evidence_raises(self):
         from pmfrec import DiscreteDataset, JointPmfModel, ZeroEvidenceError

@@ -4,15 +4,25 @@ The objective is the weighted half squared Frobenius mismatch, summed over
 stored tuples, between each empirical marginal and the sub-model synthesis
 sharing one loading vector and one factor per variable. Blocks (one factor
 at a time, then the loadings) are cycled Gauss-Seidel style; each block is a
-simplex-constrained least-squares problem solved with scaled ADMM. Gram
-matrices are assembled through the Khatri-Rao identity
-(A kr B)^T (A kr B) = (A^T A) * (B^T B) and the data terms through
-matricized-tensor-times-Khatri-Rao products, with the tuple unfoldings
-precomputed once per fit.
+simplex-constrained least-squares problem solved with scaled ADMM.
+
+The tuples are unfolded once per fit and stacked: for each variable, the
+tuples holding it are grouped by the alphabet sizes of their other
+variables, and each group keeps its mode-v unfoldings as one
+(T_g * J) x I_v array. A block update gathers the group's other factors by
+index, builds their Khatri-Rao products at once with the batched
+`khatri_rao_stack`, and takes the data term as one GEMM of the weighted
+Khatri-Rao rows with the stacked unfoldings. Gram matrices come from the
+identity (A kr B)^T (A kr B) = (A^T A) * (B^T B) over cached factor Grams.
+The cost is the direct residual X_(1) - KR (A_1 diag lam)^T of each tuple
+over its first variable, as one GEMM per group; the Khatri-Rao products
+built for the loadings block serve the cost that follows it. Every group is
+processed in row blocks sized from the element budget.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -22,7 +32,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NumericalError
 from .marginals import MarginalSet
-from .tensor_ops import FactorBundle, khatri_rao_stack, unfold
+from .tensor_ops import DEFAULT_ELEMENT_BUDGET, FactorBundle, khatri_rao_stack, unfold
 
 # momentum schedule: growth on accepted extrapolation, cap, decay on rejection
 _MOM = (1.25, 0.9995, 0.7)
@@ -61,6 +71,9 @@ class FitConfig:
             raise ValueError("outer_tol must be positive")
         if self.restarts < 0:
             raise ValueError("restarts must be nonnegative")
+        for key, w in (self.per_tuple_weights or {}).items():
+            if not (np.isfinite(w) and w >= 0.0):
+                raise ValueError(f"per_tuple_weights[{tuple(key)}] = {w} must be finite and nonnegative")
 
     def weight(self, key: tuple[int, ...]) -> float:
         if self.per_tuple_weights is None:
@@ -147,45 +160,131 @@ def random_bundle(
 
 
 @dataclass
-class _TupleData:
-    """Per-tuple constants reused across sweeps."""
+class _Group:
+    """Tuples holding variable `var` whose other variables have the alphabet
+    sizes `sizes` (in key order), stacked for batched products."""
 
-    key: tuple[int, ...]
-    weight: float
-    x: np.ndarray  # flat tensor data
-    unfoldings: dict[int, np.ndarray]  # position (1-based within key) -> matrix
+    var: int  # 0-based
+    sizes: tuple[int, ...]
+    others: np.ndarray  # (T_g, d-1) 0-based indices of the other variables
+    weights: np.ndarray  # (T_g,)
+    data: np.ndarray  # (T_g * J, I_var) mode-var unfoldings, J = prod(sizes)
+    block: int  # tuples per row block
 
-
-def _prepare(ms: MarginalSet, config: FitConfig) -> list[_TupleData]:
-    tuples = []
-    for key, entry in ms.active():
-        w = config.weight(key)
-        if w == 0.0:
-            continue
-        unf = {pos: unfold(entry.tensor, pos) for pos in range(1, len(key) + 1)}
-        tuples.append(
-            _TupleData(key=key, weight=w, x=entry.tensor.data, unfoldings=unf)
-        )
-    return tuples
+    def blocks(self):
+        """Other-variable indices, weights and unfolding rows of each row
+        block of tuples."""
+        J = math.prod(self.sizes)
+        for start in range(0, len(self.weights), self.block):
+            stop = start + self.block
+            yield self.others[start:stop], self.weights[start:stop], self.data[start * J:stop * J]
 
 
-def _cost_from_tuples(tuples: list[_TupleData], lam, factors) -> float:
+@dataclass
+class _Stacks:
+    """The contributing tuples of a fit, stacked twice over one set of
+    unfoldings: `by_var[v]` holds every tuple containing variable v (the
+    factor blocks), and `first` holds every tuple once, under its first
+    variable (the loadings and the cost), as leading slices of those groups."""
+
+    alphabet_sizes: tuple[int, ...]
+    by_var: list[list[_Group]]
+    first: list[_Group]
+
+
+def _prepare(
+    ms: MarginalSet, config: FitConfig, element_budget: int = DEFAULT_ELEMENT_BUDGET
+) -> _Stacks:
+    active = [(key, entry.tensor) for key, entry in ms.active() if config.weight(key) != 0.0]
+    by_var, first = [], []
+    for v in range(1, ms.n_vars + 1):
+        members: dict[tuple[int, ...], list] = {}
+        # a stable sort puts the tuples whose first variable is v at the head
+        # of their group
+        for key, tensor in sorted(
+            ((k, t) for k, t in active if v in k), key=lambda kt: kt[0][0] != v
+        ):
+            pos = key.index(v)
+            sizes = tensor.shape[:pos] + tensor.shape[pos + 1:]
+            members.setdefault(sizes, []).append((key, tensor, pos))
+        groups = []
+        for sizes, items in members.items():
+            J, size = math.prod(sizes), ms.alphabet_sizes[v - 1]
+            data = np.empty((len(items) * J, size))
+            for n, (_, tensor, pos) in enumerate(items):
+                data[n * J:(n + 1) * J] = unfold(tensor, pos + 1)
+            others = [[u - 1 for u in key if u != v] for key, _, _ in items]
+            group = _Group(
+                var=v - 1,
+                sizes=sizes,
+                others=np.array(others, dtype=np.intp).reshape(len(items), len(sizes)),
+                weights=np.array([config.weight(key) for key, _, _ in items]),
+                data=data,
+                block=max(1, element_budget // (J * max(config.rank, size))),
+            )
+            groups.append(group)
+            lead = sum(key[0] == v for key, _, _ in items)
+            if lead:
+                first.append(_Group(group.var, sizes, group.others[:lead],
+                                    group.weights[:lead], data[:lead * J], group.block))
+        by_var.append(groups)
+    return _Stacks(alphabet_sizes=ms.alphabet_sizes, by_var=by_var, first=first)
+
+
+def _table(factors: Sequence[np.ndarray]) -> np.ndarray:
+    """The factors as one zero-padded (N, max I_n, F) array, so that a
+    group's factors are gathered by index."""
+    table = np.zeros((len(factors), max(A.shape[0] for A in factors), factors[0].shape[1]))
+    for n, A in enumerate(factors):
+        table[n, :A.shape[0]] = A
+    return table
+
+
+def _grams(table: np.ndarray) -> np.ndarray:
+    """The (N, F, F) factor Grams A_n^T A_n."""
+    return np.matmul(table.transpose(0, 2, 1), table)
+
+
+def _kr(table: np.ndarray, others: np.ndarray, sizes: tuple[int, ...]) -> np.ndarray:
+    """The (T_b, J, F) Khatri-Rao products of the other factors of a row block."""
+    mats = [table[others[:, k], :size] for k, size in enumerate(sizes)]
+    if not mats:  # an order-1 tuple: the empty product
+        return np.ones((len(others), 1, table.shape[2]))
+    return khatri_rao_stack(mats)
+
+
+def _weighted_gram(weights: np.ndarray, grams: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """Sum over a row block of each tuple's weight times the Hadamard product
+    of its other factors' Grams, which is the Gram of their Khatri-Rao
+    product."""
+    hadamard = np.prod(grams[others], axis=1)
+    return (weights @ hadamard.reshape(len(weights), -1)).reshape(hadamard.shape[1:])
+
+
+def _cost(stacks: _Stacks, table: np.ndarray, lam: np.ndarray, krs=None) -> float:
+    """Weighted half squared residual, each tuple's residual taken directly as
+    X_(1) - KR (A_1 diag lam)^T over its first variable. `krs` may hold the
+    row blocks' Khatri-Rao products from `_loadings_system`."""
     total = 0.0
-    for td in tuples:
-        Q = khatri_rao_stack([factors[v - 1] for v in td.key])
-        r = td.x - Q @ lam
-        total += td.weight * 0.5 * float(r @ r)
+    krs = iter(krs) if krs is not None else None
+    for group in stacks.first:
+        size = group.data.shape[1]
+        model = (table[group.var, :size] * lam).T
+        for others, weights, X in group.blocks():
+            K = next(krs) if krs is not None else _kr(table, others, group.sizes)
+            R = (X - K.reshape(-1, K.shape[2]) @ model).reshape(len(weights), -1)
+            total += 0.5 * float(weights @ np.einsum("tk,tk->t", R, R))
     return total
 
 
 def coupled_cost(ms: MarginalSet, bundle: FactorBundle, config: FitConfig | None = None) -> float:
     """Weighted half squared Frobenius mismatch summed over active tuples."""
     cfg = config if config is not None else FitConfig(rank=bundle.rank)
-    tuples = _prepare(ms, cfg)
-    if not tuples:
+    stacks = _prepare(ms, cfg)
+    if not stacks.first:
         warnings.warn("marginal set has no contributing tuples; cost is 0")
         return 0.0
-    return _cost_from_tuples(tuples, bundle.loadings, list(bundle.factors))
+    return _cost(stacks, _table(bundle.factors), bundle.loadings)
 
 
 def _admm(
@@ -226,95 +325,71 @@ def _admm(
     return A, U, report
 
 
-def _weighted_gram(
-    weight: float,
-    variables: Sequence[int],
-    factors: Sequence[np.ndarray],
-    grams: dict[int, np.ndarray],
-    rank: int,
-) -> np.ndarray:
-    """`weight` times the Hadamard product of the factor Grams of
-    `variables`, which is the Gram of their Khatri-Rao product. Grams are
-    cached in `grams` by variable."""
-    gram = np.full((rank, rank), weight)
-    for v in variables:
-        if v not in grams:
-            A = factors[v - 1]
-            grams[v] = A.T @ A
-        gram = gram * grams[v]
-    return gram
-
-
 def _factor_system(
-    tuples: list[_TupleData],
-    factors: Sequence[np.ndarray],
-    lam: np.ndarray,
-    var: int,
-    rank: int,
+    stacks: _Stacks, table: np.ndarray, grams: np.ndarray, lam: np.ndarray, var: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrix and MTTKRP data term for the block of `var`."""
-    grams = {}
+    """Gram matrix and MTTKRP data term for the block of the 0-based `var`:
+    per row block, one GEMM of the weighted Khatri-Rao rows with the stacked
+    unfoldings."""
+    rank = table.shape[2]
     gram_sum = np.zeros((rank, rank))
-    V_sum = np.zeros((rank, factors[var - 1].shape[0]))
-    for td in tuples:
-        if var not in td.key:
-            continue
-        others = [v for v in td.key if v != var]
-        gram_sum += _weighted_gram(td.weight, others, factors, grams, rank)
-        pos = td.key.index(var) + 1
-        Q = khatri_rao_stack([factors[v - 1] for v in others])
-        V_sum += td.weight * (Q.T @ td.unfoldings[pos])
-    G = np.outer(lam, lam) * gram_sum
-    V = lam[:, None] * V_sum
-    return G, V
+    V_sum = np.zeros((rank, stacks.alphabet_sizes[var]))
+    for group in stacks.by_var[var]:
+        for others, weights, X in group.blocks():
+            K = _kr(table, others, group.sizes)
+            K *= weights[:, None, None]
+            V_sum += K.reshape(-1, rank).T @ X
+            gram_sum += _weighted_gram(weights, grams, others)
+    return np.outer(lam, lam) * gram_sum, lam[:, None] * V_sum
 
 
 def _loadings_system(
-    tuples: list[_TupleData], factors: Sequence[np.ndarray], rank: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrix and data term (F x 1) for the loadings block."""
-    grams = {}
+    stacks: _Stacks, table: np.ndarray, grams: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Gram matrix and data term (F x 1) for the loadings block, plus the
+    row blocks' Khatri-Rao products for the cost at the updated loadings.
+
+    The data term of a tuple is Q^T x = sum_j KR[j] * (X_(1) A_1)[j], with A_1
+    the factor of its first variable."""
+    rank = table.shape[2]
     G = np.zeros((rank, rank))
     V = np.zeros(rank)
-    for td in tuples:
-        G += _weighted_gram(td.weight, td.key, factors, grams, rank)
-        Q = khatri_rao_stack([factors[v - 1] for v in td.key])
-        V += td.weight * (Q.T @ td.x)
-    return G, V[:, None]
+    krs = []
+    for group in stacks.first:
+        A = table[group.var, :group.data.shape[1]]
+        for others, weights, X in group.blocks():
+            K = _kr(table, others, group.sizes)
+            krs.append(K)
+            V += weights @ (K * (X @ A).reshape(K.shape)).sum(axis=1)
+            G += grams[group.var] * _weighted_gram(weights, grams, others)
+    return G, V[:, None], krs
 
 
-def _update_block(
-    tuples: list[_TupleData],
-    factors: Sequence[np.ndarray],
-    lam: np.ndarray,
-    var: int | None,
-    config: FitConfig,
+def _solve_block(
+    G: np.ndarray,
+    V: np.ndarray,
+    A0: np.ndarray,
     dual: np.ndarray | None,
+    config: FitConfig,
+    project: Callable[[np.ndarray], np.ndarray],
 ) -> UpdateResult:
-    """One ADMM update of the factor of `var`, or of the loadings when `var`
-    is None (a 1 x F block), with every other block fixed."""
-    if var is None:
-        G, V = _loadings_system(tuples, factors, config.rank)
-        A0, project = lam[None, :], _project_row
-    else:
-        G, V = _factor_system(tuples, factors, lam, var, config.rank)
-        A0, project = factors[var - 1], project_columns_to_simplex
+    """ADMM update of one block (m x F, the loadings as 1 x F) from its
+    system G, V, warm-started from `dual` when given."""
     rho = float(np.trace(G)) / config.rank
     U0 = np.zeros_like(A0) if dual is None else np.asarray(dual).reshape(A0.shape)
     A, U, report = _admm(
         G, V, A0, U0, rho if rho > 0.0 else 1.0, config.admm_inner_iters, project
     )
-    if var is None:
-        A, U = A[0], U[0]
     return UpdateResult(values=A, dual=U, report=report)
 
 
 def _block_inputs(
     ms: MarginalSet, bundle: FactorBundle, config: FitConfig
-) -> tuple[list[_TupleData], list[np.ndarray]]:
+) -> tuple[_Stacks, np.ndarray, np.ndarray]:
     if config.rank != bundle.rank:
         raise ValueError(f"config rank {config.rank} does not match bundle rank {bundle.rank}")
-    return _prepare(ms, config), [np.array(A) for A in bundle.factors]
+    table = _table(bundle.factors)
+    return _prepare(ms, config), table, _grams(table)
 
 
 def update_factor(
@@ -331,8 +406,9 @@ def update_factor(
     """
     if not 1 <= var <= bundle.n_vars:
         raise ValueError(f"variable {var} out of range")
-    tuples, factors = _block_inputs(ms, bundle, config)
-    return _update_block(tuples, factors, bundle.loadings, var, config, dual)
+    stacks, table, grams = _block_inputs(ms, bundle, config)
+    G, V = _factor_system(stacks, table, grams, bundle.loadings, var - 1)
+    return _solve_block(G, V, bundle.factors[var - 1], dual, config, project_columns_to_simplex)
 
 
 def update_loadings(
@@ -342,8 +418,9 @@ def update_loadings(
     dual: np.ndarray | None = None,
 ) -> UpdateResult:
     """One ADMM block update of the loading vector, factors fixed."""
-    tuples, factors = _block_inputs(ms, bundle, config)
-    return _update_block(tuples, factors, bundle.loadings, None, config, dual)
+    G, V, _ = _loadings_system(*_block_inputs(ms, bundle, config))
+    res = _solve_block(G, V, bundle.loadings[None, :], dual, config, _project_row)
+    return UpdateResult(values=res.values[0], dual=res.dual[0], report=res.report)
 
 
 def _spurious_components(lam: np.ndarray, factors: Sequence[np.ndarray]) -> list[int]:
@@ -375,20 +452,26 @@ def _spurious_components(lam: np.ndarray, factors: Sequence[np.ndarray]) -> list
     return sorted(reseed)
 
 
+
+
 def _fit_once(
-    tuples: list[_TupleData],
+    stacks: _Stacks,
     config: FitConfig,
     start: FactorBundle,
-    n_vars: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, list[np.ndarray], FitReport]:
     factors = [np.array(A) for A in start.factors]
     lam = np.array(start.loadings)
-    duals: dict[int | str, np.ndarray | None] = {v: None for v in range(1, n_vars + 1)}
+    n_vars = len(factors)
+    duals: dict[int | str, np.ndarray | None] = {v: None for v in range(n_vars)}
     duals["loadings"] = None
+    # the padded factor table and its Grams follow `factors`; a block update
+    # rewrites one slot of each
+    table = _table(factors)
+    grams = _grams(table)
 
     report = FitReport()
-    cost = _cost_from_tuples(tuples, lam, factors)
+    cost = _cost(stacks, table, lam)
     if not np.isfinite(cost):
         raise NumericalError(f"initial cost is not finite ({cost}); check the marginals")
     report.cost_trace.append(cost)
@@ -403,18 +486,22 @@ def _fit_once(
     revive_budget = 10
 
     for sweep in range(1, config.max_outer_sweeps + 1):
-        for v in range(1, n_vars + 1):
-            res = _update_block(tuples, factors, lam, v, config, duals[v])
-            factors[v - 1] = res.values
+        for v in range(n_vars):
+            G, V = _factor_system(stacks, table, grams, lam, v)
+            res = _solve_block(G, V, factors[v], duals[v], config, project_columns_to_simplex)
+            factors[v] = res.values
+            table[v, :res.values.shape[0]] = res.values
+            grams[v] = res.values.T @ res.values
             duals[v] = res.dual
-            report.block_residuals[f"A{v}"] = res.report
-        res = _update_block(tuples, factors, lam, None, config, duals["loadings"])
-        lam = res.values
+            report.block_residuals[f"A{v + 1}"] = res.report
+        G, V, krs = _loadings_system(stacks, table, grams)
+        res = _solve_block(G, V, lam[None, :], duals["loadings"], config, _project_row)
+        lam = res.values[0]
         duals["loadings"] = res.dual
         report.block_residuals["loadings"] = res.report
 
         prev = cost
-        cost = _cost_from_tuples(tuples, lam, factors)
+        cost = _cost(stacks, table, lam, krs)  # only the loadings moved
         if not np.isfinite(cost):
             raise NumericalError(f"cost became non-finite at sweep {sweep}")
 
@@ -425,11 +512,13 @@ def _fit_once(
             project_columns_to_simplex(A + beta * (A - P))
             for A, P in zip(factors, prev_factors)
         ]
-        ex_cost = _cost_from_tuples(tuples, ex_lam, ex_factors)
+        ex_table = _table(ex_factors)
+        ex_cost = _cost(stacks, ex_table, ex_lam)
         prev_lam = lam.copy()
         prev_factors = [A.copy() for A in factors]
         if np.isfinite(ex_cost) and ex_cost < cost:
             lam, factors, cost = ex_lam, ex_factors, ex_cost
+            table, grams = ex_table, _grams(ex_table)
             beta = min(beta * _MOM[0], _MOM[1])
         else:
             beta = max(beta * _MOM[2], 1e-3)
@@ -466,7 +555,9 @@ def _fit_once(
                 prev_lam = lam.copy()
                 prev_factors = [A.copy() for A in factors]
                 beta = 0.3
-                cost = _cost_from_tuples(tuples, lam, factors)
+                table = _table(factors)
+                grams = _grams(table)
+                cost = _cost(stacks, table, lam)
                 revived = True
                 revive_budget -= 1
                 revive_countdown = 40
@@ -510,19 +601,19 @@ def fit(
     else:
         start = random_bundle(ms.alphabet_sizes, config.rank, rng)
 
-    tuples = _prepare(ms, config)
-    if not tuples:
+    stacks = _prepare(ms, config)
+    if not stacks.first:
         warnings.warn("marginal set has no contributing tuples; returning the start point")
         return start, FitReport(cost_trace=[0.0], termination_reason="no_data")
 
-    best_lam, best_factors, best_report = _fit_once(tuples, config, start, ms.n_vars, rng)
+    best_lam, best_factors, best_report = _fit_once(stacks, config, start, rng)
     starts, sweeps = 1, best_report.sweeps_run
     while (
         starts <= config.restarts
         and min(best_report.cost_trace) > config.restart_floor
     ):
         start = random_bundle(ms.alphabet_sizes, config.rank, rng)
-        lam, factors, report = _fit_once(tuples, config, start, ms.n_vars, rng)
+        lam, factors, report = _fit_once(stacks, config, start, rng)
         starts += 1
         sweeps += report.sweeps_run
         if min(report.cost_trace) < min(best_report.cost_trace):

@@ -386,26 +386,3 @@ def map_accuracy(
     hits = np.count_nonzero(post.argmax(axis=1) + 1 == test.codes[:, target - 1])
     return hits / test.n_records
 
-
-def select_rank(
-    train: DiscreteDataset,
-    val: DiscreteDataset,
-    target: int,
-    rank_grid: Sequence[int],
-    order: int = 3,
-    seed: int = 0,
-    **fit_kwargs,
-) -> tuple[int, JointPmfModel, dict[int, float]]:
-    """Grid sweep choosing the rank with the lowest validation error."""
-    ms = estimate_marginals(train, order)
-    scores: dict[int, float] = {}
-    best_rank, best_model, best_err = None, None, np.inf
-    for rank in rank_grid:
-        config = FitConfig(rank=rank, seed=seed, **fit_kwargs)
-        bundle, _ = fit(ms, config)
-        model = JointPmfModel(bundle)
-        err = 1.0 - map_accuracy(model, val, target)
-        scores[rank] = err
-        if err < best_err:
-            best_rank, best_model, best_err = rank, model, err
-    return best_rank, best_model, scores

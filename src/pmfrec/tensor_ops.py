@@ -230,13 +230,17 @@ def khatri_rao_stack(matrices: Sequence[np.ndarray]) -> np.ndarray:
     product A_K kr ... kr A_1 that appears in unfoldings and vectorization:
     the flat data of the CP model is ``khatri_rao_stack(factors) @ loadings``,
     and this product of the other factors, transposed, times the mode-n
-    unfolding is the MTTKRP. The fit calls it once per tuple and block, so
-    it takes the arrays as given and checks only their column counts.
+    unfolding is the MTTKRP. The matrices may carry a leading batch axis:
+    (T, I_k, F) stacks give the T products at once as a (T, J, F) array,
+    J = prod I_k, and a plain matrix broadcasts against a stack. The fit
+    calls it once per block of stacked tuples, so it takes the arrays as
+    given and checks only their column counts.
     """
     out = matrices[0]
-    F = out.shape[1]
+    F = out.shape[-1]
     for M in matrices[1:]:
-        if M.shape[1] != F:
+        if M.shape[-1] != F:
             raise ValueError("column counts differ in Khatri-Rao chain")
-        out = (M[:, None] * out).reshape(-1, F)
+        out = M[..., :, None, :] * out[..., None, :, :]
+        out = out.reshape(out.shape[:-3] + (out.shape[-3] * out.shape[-2], F))
     return out

@@ -21,7 +21,7 @@ from pmfrec.factorization import project_columns_to_simplex, random_bundle
 from pmfrec.marginals import MarginalEntry, MarginalSet
 from pmfrec.tensor_ops import DenseTensor, FactorBundle, synthesize
 
-from conftest import simplex_qp_oracle
+from conftest import loop_mttkrp, loop_synthesize, simplex_qp_oracle
 
 
 class TestProjectSimplex:
@@ -304,3 +304,141 @@ class TestFit:
             assert A.min() >= 0
         assert est.loadings.sum() == pytest.approx(1.0, abs=1e-12)
         assert est.loadings.min() >= 0
+
+
+def _random_weighted_set(seed, order, n_vars, rank):
+    """A marginal set with random nonnegative (unnormalized) tensors over
+    alphabets of sizes 1-3, per-tuple weights that include 0 and non-unit
+    values, and a random bundle to evaluate the kernels at."""
+    rng = np.random.default_rng(seed)
+    sizes = tuple(int(s) for s in rng.integers(1, 4, size=n_vars))
+    entries, weights = {}, {}
+    for key in itertools.combinations(range(1, n_vars + 1), order):
+        shape = tuple(sizes[v - 1] for v in key)
+        entries[key] = MarginalEntry(DenseTensor.from_array(rng.random(shape)), support=1)
+        weights[key] = float(rng.choice([0.0, 0.5, 1.0, 2.5]))
+    ms = MarginalSet(order=order, alphabet_sizes=sizes, entries=entries)
+    return ms, FitConfig(rank=rank, per_tuple_weights=weights), random_bundle(sizes, rank, rng)
+
+
+def _with_unit_axis(factors, pos, rank):
+    """`factors` with a 1 x F matrix of ones inserted at 0-based `pos`."""
+    return list(factors[:pos]) + [np.ones((1, rank))] + list(factors[pos:])
+
+
+def _kr_gram_oracle(factors, pos, rank):
+    """Gram of the Khatri-Rao product of `factors` by loops: column g is the
+    MTTKRP, along a unit axis at `pos`, of the rank-1 tensor of component g."""
+    padded = _with_unit_axis(factors, pos, rank)
+    gram = np.zeros((rank, rank))
+    for g in range(rank):
+        unit = np.zeros(rank)
+        unit[g] = 1.0
+        gram[:, g] = loop_mttkrp(loop_synthesize(unit, padded), padded, pos + 1)[:, 0]
+    return gram
+
+
+def _factor_system_oracle(ms, config, bundle, var):
+    lam, rank = bundle.loadings, bundle.rank
+    G = np.zeros((rank, rank))
+    V = np.zeros((rank, ms.alphabet_sizes[var - 1]))
+    for key, entry in ms.active():
+        if var not in key:
+            continue
+        w, pos = config.weight(key), key.index(var)
+        facs = [bundle.factors[v - 1] for v in key]
+        others = facs[:pos] + facs[pos + 1:]
+        G += w * _kr_gram_oracle(others, pos, rank)
+        V += w * loop_mttkrp(entry.tensor.array, facs, pos + 1)
+    return np.outer(lam, lam) * G, lam[:, None] * V
+
+
+def _loadings_system_oracle(ms, config, bundle):
+    rank = bundle.rank
+    G = np.zeros((rank, rank))
+    V = np.zeros(rank)
+    for key, entry in ms.active():
+        w = config.weight(key)
+        facs = [bundle.factors[v - 1] for v in key]
+        G += w * _kr_gram_oracle(facs, len(key), rank)
+        x = entry.tensor.array[..., None]  # a unit axis after the last mode
+        V += w * loop_mttkrp(x, _with_unit_axis(facs, len(key), rank), len(key) + 1)[:, 0]
+    return G, V[:, None]
+
+
+def _cost_oracle(ms, config, bundle):
+    total = 0.0
+    for key, entry in ms.active():
+        model = loop_synthesize(bundle.loadings, [bundle.factors[v - 1] for v in key])
+        total += config.weight(key) * 0.5 * float(((entry.tensor.array - model) ** 2).sum())
+    return total
+
+
+class TestBatchedKernels:
+    """The stacked, blocked system and cost kernels against per-tuple loops
+    built from the conftest oracles alone."""
+
+    @staticmethod
+    def _kernels(ms, config, bundle, element_budget):
+        stacks = factorization._prepare(ms, config, element_budget)
+        table = factorization._table(bundle.factors)
+        grams = factorization._grams(table)
+        lam = bundle.loadings
+        systems = [factorization._factor_system(stacks, table, grams, lam, v)
+                   for v in range(ms.n_vars)]
+        G, V, krs = factorization._loadings_system(stacks, table, grams)
+        costs = (factorization._cost(stacks, table, lam),
+                 factorization._cost(stacks, table, lam, krs))
+        return systems, (G, V), costs
+
+    @given(st.integers(2, 4), st.integers(0, 2), st.integers(1, 3), st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_match_loop_oracles(self, order, extra_vars, rank, seed):
+        ms, config, bundle = _random_weighted_set(seed, order, order + extra_vars, rank)
+        systems, (G, V), costs = self._kernels(ms, config, bundle, 10**8)
+        for var, (Gv, Vv) in enumerate(systems, start=1):
+            want_G, want_V = _factor_system_oracle(ms, config, bundle, var)
+            np.testing.assert_allclose(Gv, want_G, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(Vv, want_V, rtol=1e-12, atol=1e-15)
+        want_G, want_V = _loadings_system_oracle(ms, config, bundle)
+        np.testing.assert_allclose(G, want_G, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(V, want_V, rtol=1e-12, atol=1e-15)
+        want = _cost_oracle(ms, config, bundle)
+        assert costs[0] == pytest.approx(want, rel=1e-12, abs=1e-15)
+        assert costs[1] == costs[0]  # the shared Khatri-Rao blocks are the same arrays
+
+    @given(st.integers(2, 4), st.integers(0, 2), st.integers(1, 3), st.integers(0, 10**6),
+           st.integers(1, 40))
+    @settings(max_examples=30, deadline=None)
+    def test_row_blocks_match_one_block(self, order, extra_vars, rank, seed, budget):
+        ms, config, bundle = _random_weighted_set(seed, order, order + extra_vars, rank)
+        stacks = factorization._prepare(ms, config, budget)
+        assert budget > 1 or {g.block for gs in stacks.by_var for g in gs} <= {1}
+        whole = self._kernels(ms, config, bundle, 10**8)
+        blocked = self._kernels(ms, config, bundle, budget)
+        for (G1, V1), (G2, V2) in zip(whole[0] + [whole[1]], blocked[0] + [blocked[1]]):
+            np.testing.assert_allclose(G2, G1, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(V2, V1, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(blocked[2], whole[2], rtol=1e-12, atol=1e-300)
+
+    def test_mixed_alphabets_split_a_variable_into_groups(self):
+        sizes = (2, 1, 3, 2)
+        rng = np.random.default_rng(3)
+        entries = {key: MarginalEntry(DenseTensor.from_array(
+                       rng.random(tuple(sizes[v - 1] for v in key))), support=1)
+                   for key in itertools.combinations(range(1, 5), 3)}
+        ms = MarginalSet(order=3, alphabet_sizes=sizes, entries=entries)
+        stacks = factorization._prepare(ms, FitConfig(rank=2))
+        # variable 1 meets its other variables with sizes (1, 3), (1, 2), (3, 2)
+        assert [g.sizes for g in stacks.by_var[0]] == [(1, 3), (1, 2), (3, 2)]
+        assert sorted(len(g.weights) for g in stacks.first) == [1, 1, 1, 1]
+        assert sum(len(g.weights) for g in stacks.first) == len(entries)
+
+
+class TestWeightValidation:
+    @pytest.mark.parametrize("weight", [-1.0, float("nan"), float("inf")])
+    def test_bad_weight_rejected_naming_the_key(self, weight):
+        model = random_model(4, 3, 2, seed=1)
+        ms = exact_marginals(model, 3)
+        with pytest.raises(ValueError, match=r"\(1, 2, 3\)"):
+            fit(ms, FitConfig(rank=2, per_tuple_weights={(1, 2, 3): weight}))

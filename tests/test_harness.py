@@ -357,24 +357,3 @@ class TestExperimentPlumbing:
         with pytest.raises(ZeroEvidenceError, match="test row 2"):
             map_accuracy(model, test, 2)
 
-    def test_select_rank_prefers_adequate_rank(self):
-        from pmfrec.harness import select_rank
-
-        lam = np.array([0.5, 0.5])
-        sharp = np.array([[0.9, 0.1], [0.05, 0.85], [0.05, 0.05]])
-        from pmfrec import JointPmfModel
-
-        truth = JointPmfModel(
-            FactorBundle(lam, tuple(sharp.copy() for _ in range(4)))
-        )
-        data = sample_dataset(truth, 4000, seed=32)
-        train, val, test = split_dataset(data, (0.7, 0.1, 0.2), seed=33)
-        best_rank, model, scores = select_rank(
-            train, val, target=4, rank_grid=(1, 2), order=3,
-            max_outer_sweeps=150, outer_tol=1e-9,
-        )
-        assert set(scores) == {1, 2}
-        # a rank-1 model is feature-independent, so it cannot beat rank 2
-        assert scores[2] <= scores[1]
-        assert best_rank == 2
-        assert map_accuracy(model, test, 4) > 0.5

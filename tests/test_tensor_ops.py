@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,6 +139,26 @@ class TestKhatriRao:
         B = rng.random((4, 3))
         Q = khatri_rao_stack([A, B])
         np.testing.assert_allclose(Q.T @ Q, (A.T @ A) * (B.T @ B), atol=1e-12)
+
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=4), st.integers(0, 4),
+           st.integers(1, 3), st.integers(0, 10**6))
+    @settings(max_examples=30, deadline=None)
+    def test_batched_matches_loop_oracle(self, sizes, batch, rank, seed):
+        # a (T, I_k, F) stack per mode gives the T products, row j of each
+        # holding prod_k M_k[t, i_k, f] with the first index fastest
+        rng = np.random.default_rng(seed)
+        mats = [rng.random((batch, size, rank)) for size in sizes]
+        out = khatri_rao_stack(mats)
+        assert out.shape == (batch, int(np.prod(sizes)), rank)
+        for t in range(batch):
+            for j, idx in enumerate(itertools.product(*[range(s) for s in reversed(sizes)])):
+                for f in range(rank):
+                    want = 1.0
+                    for k, i in enumerate(reversed(idx)):
+                        want *= mats[k][t, i, f]
+                    assert out[t, j, f] == pytest.approx(want, rel=1e-14)
+        if batch:
+            np.testing.assert_array_equal(out[-1], khatri_rao_stack([M[-1] for M in mats]))
 
 
 def mttkrp(t, factors, mode):
